@@ -4,8 +4,13 @@
 //  * bitset algebra,
 //  * end-to-end Algorithm 1 vs Algorithm 2 on the paper's cycle example —
 //    the ablation for the Appendix C optimisations,
-//  * det-k vs log-k on a mid-size CSP.
+//  * det-k vs log-k on a mid-size CSP,
+//  * canonical fingerprinting — whole instances (every cache hit pays it)
+//    and subproblems (every subproblem-store probe pays it).
 #include <benchmark/benchmark.h>
+
+#include <deque>
+#include <vector>
 
 #include "baselines/det_k_decomp.h"
 #include "core/log_k_decomp.h"
@@ -16,6 +21,9 @@
 #include "prep/preprocess.h"
 #include "decomp/components.h"
 #include "hypergraph/generators.h"
+#include "hypergraph/parser.h"
+#include "hypergraph/writer.h"
+#include "service/canonical.h"
 #include "util/combinations.h"
 #include "util/rng.h"
 
@@ -187,6 +195,69 @@ void BM_CachedVsPlainRefutation(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CachedVsPlainRefutation)->Arg(0)->Arg(1);
+
+// The hdbench warm_hits catalogue: 64 random CQs of 8-40 atoms, arity <= 4,
+// round-tripped through the HyperBench text the server parses.
+std::vector<Hypergraph> CacheHitCatalogue() {
+  std::vector<Hypergraph> graphs;
+  util::Rng rng(20220612);
+  for (int i = 0; i < 64; ++i) {
+    util::Rng child = rng.Fork();
+    const int atoms = child.UniformInt(8, 40);
+    graphs.push_back(
+        *ParseAuto(WriteHyperBench(MakeRandomCq(child, atoms, 4, 0.25))));
+  }
+  return graphs;
+}
+
+void BM_CanonicalFingerprint(benchmark::State& state) {
+  // One cache hit's fingerprint stage; cycles through the catalogue.
+  const std::vector<Hypergraph> graphs = CacheHitCatalogue();
+  size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(service::CanonicalFingerprint(graphs[i]));
+    i = (i + 1) % graphs.size();
+  }
+}
+BENCHMARK(BM_CanonicalFingerprint);
+
+void BM_FingerprintSubhypergraph(benchmark::State& state) {
+  // One subproblem-store probe per catalogue instance: every other edge,
+  // one special edge over three vertices, a two-vertex connector.
+  struct Probe {
+    explicit Probe(Hypergraph g)
+        : graph(std::move(g)),
+          registry(graph.num_vertices()),
+          conn(graph.num_vertices()) {
+      const int n = graph.num_vertices();
+      comp.edges = util::DynamicBitset(graph.num_edges());
+      for (int e = 0; e < graph.num_edges(); e += 2) comp.edges.Set(e);
+      comp.edge_count = comp.edges.Count();
+      util::DynamicBitset special(n);
+      for (int e = 1; e < graph.num_edges() && special.Count() < 3; e += 2) {
+        special.Set(graph.edge_vertex_list(e).front());
+      }
+      comp.specials = {registry.Add(special, {1})};
+      for (int v : graph.edge_vertex_list(0)) {
+        if (conn.Count() < 2) conn.Set(v);
+      }
+    }
+    Hypergraph graph;
+    SpecialEdgeRegistry registry;  // holds a mutex: Probe stays in place
+    ExtendedSubhypergraph comp;
+    util::DynamicBitset conn;
+  };
+  std::deque<Probe> probes;
+  for (Hypergraph& graph : CacheHitCatalogue()) probes.emplace_back(std::move(graph));
+  size_t i = 0;
+  for (auto _ : state) {
+    const Probe& probe = probes[i];
+    benchmark::DoNotOptimize(service::FingerprintSubhypergraph(
+        probe.graph, probe.registry, probe.comp, probe.conn));
+    i = (i + 1) % probes.size();
+  }
+}
+BENCHMARK(BM_FingerprintSubhypergraph);
 
 }  // namespace
 }  // namespace htd

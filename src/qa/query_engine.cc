@@ -93,7 +93,6 @@ util::StatusOr<QueryAnswer> QueryEngine::Answer(const cq::Query& query,
 
   QueryAnswer answer;
   Hypergraph graph = cq::QueryHypergraph(query);
-  answer.fingerprint = service::CanonicalFingerprint(graph);
 
   auto finish = [&](QueryOutcome outcome) {
     answer.outcome = outcome;
@@ -122,6 +121,10 @@ util::StatusOr<QueryAnswer> QueryEngine::Answer(const cq::Query& query,
       std::future<service::JobResult> probe =
           service_->Submit(graph, k, remaining(), probe_trace);
       service::JobResult result = AwaitProbe(service_->executor(), probe);
+      // Every probe's admission canonicalises the same graph; the first
+      // one's fingerprint is the answer's, so the query never pays for a
+      // canonicalisation of its own.
+      if (answer.probes == 0) answer.fingerprint = result.fingerprint;
       ++answer.probes;
       if (!result.cache_hit) all_cache_hits = false;
       if (result.result.outcome == Outcome::kCancelled) {
@@ -162,6 +165,12 @@ util::StatusOr<QueryAnswer> QueryEngine::Answer(const cq::Query& query,
         .Observe(answer.decompose_seconds);
     answer.decompose_cache_hit = all_cache_hits && answer.probes > 0;
     if (first_yes < 0) {
+      // No probe was admitted (the deadline expired before the first one),
+      // so no admission computed the fingerprint: take it here, so the
+      // reply still names the query's cache key.
+      if (answer.probes == 0) {
+        answer.fingerprint = service::CanonicalFingerprint(graph);
+      }
       return finish(deadline_hit ? QueryOutcome::kDeadline
                                  : QueryOutcome::kNoDecomposition);
     }

@@ -67,6 +67,8 @@ struct QueryAnswer {
   cq::SolutionCount count;
   bool counted = false;
 
+  /// Canonical fingerprint of the query hypergraph, as the service computed
+  /// it when admitting the first decomposition probe (the cache key itself).
   service::Fingerprint fingerprint;
   /// Scores of the executed decomposition (zero when none was executed).
   int width = 0;

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <map>
+#include <functional>
 #include <utility>
 
 #include "util/hash.h"
@@ -14,119 +14,189 @@ namespace {
 
 using util::HashCombine;
 
-/// Replaces arbitrary 64-bit colour hashes by dense ranks in [0, #distinct).
-/// Ranking by sorted hash value keeps the mapping independent of vertex and
-/// edge numbering, which is what makes each refinement round invariant.
-int Compress(std::vector<uint64_t>& colors) {
-  std::vector<uint64_t> sorted(colors);
-  std::sort(sorted.begin(), sorted.end());
-  sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
-  for (auto& c : colors) {
-    c = static_cast<uint64_t>(
-        std::lower_bound(sorted.begin(), sorted.end(), c) - sorted.begin());
-  }
-  return static_cast<int>(sorted.size());
-}
+/// Flat (CSR) incidence structure, both directions: edge e's members are
+/// edge_members[edge_start[e] .. edge_start[e + 1]), vertex v's incident
+/// edges are vertex_edges[vertex_start[v] .. vertex_start[v + 1]). Built once
+/// per canonicalisation; every refinement round reads only these arrays.
+struct Incidence {
+  std::vector<int> edge_start{0};
+  std::vector<int> edge_members;
+  std::vector<int> vertex_start;
+  std::vector<int> vertex_edges;
 
-struct Refinement {
-  std::vector<uint64_t> vcolor;  // dense vertex colours
-  std::vector<uint64_t> ecolor;  // dense edge colours
-  int num_vertex_classes = 0;
-  int num_edge_classes = 0;
+  int num_edges() const { return static_cast<int>(edge_start.size()) - 1; }
+  int num_vertices() const { return static_cast<int>(vertex_start.size()) - 1; }
+  int edge_size(int e) const { return edge_start[e + 1] - edge_start[e]; }
+  int degree(int v) const { return vertex_start[v + 1] - vertex_start[v]; }
+
+  /// Closes the edge being appended to edge_members.
+  void EndEdge() { edge_start.push_back(static_cast<int>(edge_members.size())); }
+
+  /// Derives the vertex → edges side from the edge side (counting sort, so
+  /// each vertex lists its edges in ascending order).
+  void BuildVertexSide(int n) {
+    vertex_start.assign(n + 1, 0);
+    for (int v : edge_members) ++vertex_start[v + 1];
+    for (int v = 0; v < n; ++v) vertex_start[v + 1] += vertex_start[v];
+    vertex_edges.resize(edge_members.size());
+    std::vector<int> cursor(vertex_start.begin(), vertex_start.end() - 1);
+    for (int e = 0; e < num_edges(); ++e) {
+      for (int i = edge_start[e]; i < edge_start[e + 1]; ++i) {
+        vertex_edges[cursor[edge_members[i]]++] = e;
+      }
+    }
+  }
 };
 
-/// One-sided update: recolour `out` from its own colour plus the sorted
-/// multiset of neighbour colours (edge ➞ member vertices, vertex ➞ incident
-/// edges).
-template <typename NeighborsFn>
-void RecolorSide(std::vector<uint64_t>& out, const std::vector<uint64_t>& other,
-                 NeighborsFn&& neighbors, uint64_t side_seed) {
-  std::vector<uint64_t> next(out.size());
-  std::vector<uint64_t> adj;
-  for (size_t i = 0; i < out.size(); ++i) {
-    adj.clear();
-    neighbors(static_cast<int>(i), adj, other);
-    std::sort(adj.begin(), adj.end());
-    uint64_t h = HashCombine(side_seed, out[i]);
-    for (uint64_t c : adj) h = HashCombine(h, c);
-    h = HashCombine(h, adj.size());
-    next[i] = h;
+Incidence IncidenceOf(const Hypergraph& graph) {
+  Incidence inc;
+  inc.edge_start.reserve(graph.num_edges() + 1);
+  for (int e = 0; e < graph.num_edges(); ++e) {
+    const std::vector<int>& members = graph.edge_vertex_list(e);
+    inc.edge_members.insert(inc.edge_members.end(), members.begin(), members.end());
+    inc.EndEdge();
   }
-  out = std::move(next);
+  inc.BuildVertexSide(graph.num_vertices());
+  return inc;
 }
 
-/// Runs colour refinement to a fixed point. Colours are invariant under any
-/// renaming of vertices or reordering of edges.
-Refinement Refine(const Hypergraph& graph, std::vector<uint64_t> vcolor,
-                  std::vector<uint64_t> ecolor) {
-  const int n = graph.num_vertices();
-  const int m = graph.num_edges();
-  Refinement r;
-  r.vcolor = std::move(vcolor);
-  r.ecolor = std::move(ecolor);
-  r.num_vertex_classes = Compress(r.vcolor);
-  r.num_edge_classes = Compress(r.ecolor);
+/// Colour refinement to a discrete vertex partition over one Incidence. All
+/// working memory lives here and is reused by every round of every
+/// refinement, so a canonicalisation allocates a fixed handful of buffers
+/// however many rounds and individualisations it needs. One instance per
+/// call: nothing survives between canonicalisations.
+class Refiner {
+ public:
+  Refiner(const Incidence& inc, std::vector<uint64_t> vseed,
+          std::vector<uint64_t> eseed)
+      : inc_(inc), vcolor_(std::move(vseed)), ecolor_(std::move(eseed)) {
+    order_.reserve(std::max(vcolor_.size(), ecolor_.size()));
+  }
 
-  auto edge_members = [&graph](int e, std::vector<uint64_t>& adj,
-                               const std::vector<uint64_t>& vc) {
-    for (int v : graph.edge_vertex_list(e)) adj.push_back(vc[v]);
-  };
-  auto vertex_edges = [&graph](int v, std::vector<uint64_t>& adj,
-                               const std::vector<uint64_t>& ec) {
-    for (int e : graph.edges_of_vertex(v)) adj.push_back(ec[e]);
-  };
-
-  // Each productive round strictly grows a class count; n + m bounds rounds.
-  for (int round = 0; round < n + m + 1; ++round) {
-    RecolorSide(r.ecolor, r.vcolor, edge_members, /*side_seed=*/0xe5);
-    int edge_classes = Compress(r.ecolor);
-    RecolorSide(r.vcolor, r.ecolor, vertex_edges, /*side_seed=*/0x5e);
-    int vertex_classes = Compress(r.vcolor);
-    if (edge_classes == r.num_edge_classes &&
-        vertex_classes == r.num_vertex_classes) {
-      break;
+  /// Refines from the seed colours, then individualises until the vertex
+  /// partition is discrete. The returned vector is the canonical vertex id
+  /// of each vertex. The member choice inside a tied class (lowest original
+  /// id) only matters for classes whose members are not automorphic; see
+  /// the header caveat.
+  std::vector<int> DiscreteVertexIds() {
+    const int n = inc_.num_vertices();
+    num_vertex_classes_ = Compress(vcolor_);
+    num_edge_classes_ = Compress(ecolor_);
+    Refine();
+    std::vector<int> class_size;
+    while (num_vertex_classes_ < n) {
+      class_size.assign(num_vertex_classes_, 0);
+      for (int v = 0; v < n; ++v) class_size[vcolor_[v]]++;
+      int target_class = -1;
+      for (int c = 0; c < num_vertex_classes_; ++c) {
+        if (class_size[c] > 1) {
+          target_class = c;
+          break;
+        }
+      }
+      HTD_CHECK(target_class >= 0);
+      int chosen = -1;
+      for (int v = 0; v < n; ++v) {
+        if (static_cast<int>(vcolor_[v]) == target_class) {
+          chosen = v;
+          break;
+        }
+      }
+      // Both colourings are dense ranks and the new colour is the next
+      // unused rank, so they are already compressed: refinement resumes
+      // directly.
+      vcolor_[chosen] = static_cast<uint64_t>(num_vertex_classes_++);
+      Refine();
     }
-    r.num_edge_classes = edge_classes;
-    r.num_vertex_classes = vertex_classes;
+    return std::vector<int>(vcolor_.begin(), vcolor_.end());
   }
-  return r;
-}
 
-/// Refines from the given seed colours, then individualises until the vertex
-/// partition is discrete. The returned vector is the canonical vertex id of
-/// each vertex. The member choice inside a tied class (lowest original id)
-/// only matters for classes whose members are not automorphic; see the
-/// header caveat.
-std::vector<int> DiscreteVertexIds(const Hypergraph& graph,
-                                   std::vector<uint64_t> vseed,
-                                   std::vector<uint64_t> eseed) {
-  const int n = graph.num_vertices();
-  Refinement r = Refine(graph, std::move(vseed), std::move(eseed));
-  while (r.num_vertex_classes < n) {
-    std::vector<int> class_size(r.num_vertex_classes, 0);
-    for (int v = 0; v < n; ++v) class_size[r.vcolor[v]]++;
-    int target_class = -1;
-    for (int c = 0; c < r.num_vertex_classes; ++c) {
-      if (class_size[c] > 1) {
-        target_class = c;
+ private:
+  /// Replaces arbitrary 64-bit colour hashes by dense ranks in
+  /// [0, #distinct). Ranking by sorted hash value keeps the mapping
+  /// independent of vertex and edge numbering, which is what makes each
+  /// refinement round invariant.
+  int Compress(std::vector<uint64_t>& colors) {
+    order_.clear();
+    for (size_t i = 0; i < colors.size(); ++i) {
+      order_.emplace_back(colors[i], static_cast<int>(i));
+    }
+    SortSmall(order_.data(), order_.data() + order_.size(),
+              [](const auto& a, const auto& b) { return a.first < b.first; });
+    uint64_t rank = 0;
+    for (size_t i = 0; i < order_.size(); ++i) {
+      if (i > 0 && order_[i].first != order_[i - 1].first) ++rank;
+      colors[order_[i].second] = rank;
+    }
+    return order_.empty() ? 0 : static_cast<int>(rank) + 1;
+  }
+
+  /// One-sided update: recolours each element of `out` in place from its own
+  /// colour plus the sorted multiset of its neighbours' colours in `other`
+  /// (edge ➞ member vertices, vertex ➞ incident edges), then compresses.
+  /// In place is safe: element i's hash reads only out[i] of its own side.
+  int RecolorSide(std::vector<uint64_t>& out, const std::vector<uint64_t>& other,
+                  const std::vector<int>& start, const std::vector<int>& neighbors,
+                  uint64_t side_seed) {
+    for (size_t i = 0; i < out.size(); ++i) {
+      adj_.clear();
+      for (int j = start[i]; j < start[i + 1]; ++j) adj_.push_back(other[neighbors[j]]);
+      SortSmall(adj_.data(), adj_.data() + adj_.size(), std::less<uint64_t>());
+      uint64_t h = HashCombine(side_seed, out[i]);
+      for (uint64_t c : adj_) h = HashCombine(h, c);
+      out[i] = HashCombine(h, adj_.size());
+    }
+    return Compress(out);
+  }
+
+  /// Insertion sort up to a few dozen elements — edge sizes, vertex degrees
+  /// and (hash, index) runs of query-sized instances — where it beats
+  /// std::sort's introsort; std::sort above that. Only the order of keys is
+  /// used, never the order among equal keys, so the choice of algorithm
+  /// cannot change a colour.
+  template <typename T, typename Less>
+  static void SortSmall(T* first, T* last, Less less) {
+    if (last - first > 64) {
+      std::sort(first, last, less);
+      return;
+    }
+    for (T* it = first + 1; it < last; ++it) {
+      const T value = *it;
+      T* hole = it;
+      for (; hole > first && less(value, hole[-1]); --hole) *hole = hole[-1];
+      *hole = value;
+    }
+  }
+
+  /// Runs colour refinement from the current (dense) colours to a fixed
+  /// point. Colours are invariant under any renaming of vertices or
+  /// reordering of edges.
+  void Refine() {
+    const int n = inc_.num_vertices();
+    const int m = inc_.num_edges();
+    // Each productive round strictly grows a class count; n + m bounds rounds.
+    for (int round = 0; round < n + m + 1; ++round) {
+      const int edge_classes = RecolorSide(ecolor_, vcolor_, inc_.edge_start,
+                                           inc_.edge_members, /*side_seed=*/0xe5);
+      const int vertex_classes = RecolorSide(vcolor_, ecolor_, inc_.vertex_start,
+                                             inc_.vertex_edges, /*side_seed=*/0x5e);
+      if (edge_classes == num_edge_classes_ &&
+          vertex_classes == num_vertex_classes_) {
         break;
       }
+      num_edge_classes_ = edge_classes;
+      num_vertex_classes_ = vertex_classes;
     }
-    HTD_CHECK(target_class >= 0);
-    int chosen = -1;
-    for (int v = 0; v < n; ++v) {
-      if (static_cast<int>(r.vcolor[v]) == target_class) {
-        chosen = v;
-        break;
-      }
-    }
-    r.vcolor[chosen] = static_cast<uint64_t>(r.num_vertex_classes);
-    r = Refine(graph, std::move(r.vcolor), std::move(r.ecolor));
   }
-  std::vector<int> ids(n);
-  for (int v = 0; v < n; ++v) ids[v] = static_cast<int>(r.vcolor[v]);
-  return ids;
-}
+
+  const Incidence& inc_;
+  std::vector<uint64_t> vcolor_;  // dense vertex colours
+  std::vector<uint64_t> ecolor_;  // dense edge colours
+  int num_vertex_classes_ = 0;
+  int num_edge_classes_ = 0;
+  std::vector<uint64_t> adj_;                     // one element's neighbour colours
+  std::vector<std::pair<uint64_t, int>> order_;  // (hash, index) for Compress
+};
 
 }  // namespace
 
@@ -165,6 +235,7 @@ bool Fingerprint::FromHex(std::string_view text, Fingerprint* out) {
 CanonicalForm ComputeCanonicalForm(const Hypergraph& graph) {
   const int n = graph.num_vertices();
   const int m = graph.num_edges();
+  const Incidence inc = IncidenceOf(graph);
 
   // Seed colours: vertex degree / edge size (the degree/edge-size refinement).
   std::vector<uint64_t> vcolor(n), ecolor(m);
@@ -176,7 +247,8 @@ CanonicalForm ComputeCanonicalForm(const Hypergraph& graph) {
   }
   // Individualisation makes the partition discrete: vcolor IS the canonical
   // vertex id.
-  std::vector<int> ids = DiscreteVertexIds(graph, std::move(vcolor), std::move(ecolor));
+  const std::vector<int> ids =
+      Refiner(inc, std::move(vcolor), std::move(ecolor)).DiscreteVertexIds();
 
   CanonicalForm form;
   form.num_vertices = n;
@@ -237,26 +309,24 @@ SubproblemCanonicalForm FingerprintSubhypergraph(const Hypergraph& graph,
   form.num_vertices = n;
 
   // Build the local incidence structure: component edges first, then special
-  // edges (a special edge is its interface vertex set).
-  Hypergraph local;
-  for (int i = 0; i < n; ++i) local.AddVertex();
+  // edges (a special edge is its interface vertex set). Member lists need no
+  // deduplication: base edges are duplicate-free and special edges are
+  // bitsets.
+  Incidence local;
   std::vector<int> local_edge_source;  // local edge index → base edge / special id
   comp.edges.ForEach([&](int e) {
-    std::vector<int> members;
-    for (int v : graph.edge_vertex_list(e)) {
-      members.push_back(local_of_base[v]);
-    }
-    HTD_CHECK(local.AddEdge(members).ok());
+    for (int v : graph.edge_vertex_list(e)) local.edge_members.push_back(local_of_base[v]);
+    local.EndEdge();
     local_edge_source.push_back(e);
   });
   const int num_component_edges = static_cast<int>(local_edge_source.size());
   for (int s : comp.specials) {
-    std::vector<int> members;
     registry.vertices(s).ForEach(
-        [&](int v) { members.push_back(local_of_base[v]); });
-    HTD_CHECK(local.AddEdge(members).ok());
+        [&](int v) { local.edge_members.push_back(local_of_base[v]); });
+    local.EndEdge();
     local_edge_source.push_back(s);
   }
+  local.BuildVertexSide(n);
   const int m = local.num_edges();
 
   // Seed colours: (degree, Conn-membership) per vertex, (size, is-special)
@@ -265,15 +335,16 @@ SubproblemCanonicalForm FingerprintSubhypergraph(const Hypergraph& graph,
   std::vector<uint64_t> vseed(n), eseed(m);
   for (int v = 0; v < n; ++v) {
     const bool in_conn = conn.Test(base_of_local[v]);
-    vseed[v] = HashCombine(static_cast<uint64_t>(local.edges_of_vertex(v).size()),
+    vseed[v] = HashCombine(static_cast<uint64_t>(local.degree(v)),
                            in_conn ? 0xc0 : 0x0c);
   }
   for (int e = 0; e < m; ++e) {
     const bool is_special = e >= num_component_edges;
-    eseed[e] = HashCombine(static_cast<uint64_t>(local.edge_vertex_list(e).size()),
+    eseed[e] = HashCombine(static_cast<uint64_t>(local.edge_size(e)),
                            is_special ? 0x5b : 0xb5);
   }
-  std::vector<int> ids = DiscreteVertexIds(local, std::move(vseed), std::move(eseed));
+  const std::vector<int> ids =
+      Refiner(local, std::move(vseed), std::move(eseed)).DiscreteVertexIds();
 
   // Rewrite the rank array in place: local ids become canonical ids.
   form.canonical_vertices.assign(n, -1);
@@ -295,7 +366,9 @@ SubproblemCanonicalForm FingerprintSubhypergraph(const Hypergraph& graph,
   for (int e = 0; e < m; ++e) {
     EdgeRecord record;
     record.label = e >= num_component_edges ? 1 : 0;
-    for (int v : local.edge_vertex_list(e)) record.members.push_back(ids[v]);
+    for (int i = local.edge_start[e]; i < local.edge_start[e + 1]; ++i) {
+      record.members.push_back(ids[local.edge_members[i]]);
+    }
     std::sort(record.members.begin(), record.members.end());
     record.local_index = e;
     records.push_back(std::move(record));

@@ -25,6 +25,14 @@
 //
 // Fingerprints are 128 bits (two independently seeded 64-bit mixes over the
 // canonical edge list), so accidental collisions are out of practical reach.
+//
+// Fingerprint values are a persistent format — result-cache snapshots,
+// anti-entropy digests and shard ranges are keyed by them — so the
+// refinement's arithmetic is fixed bit for bit, and tests/canonical_test.cc
+// (CanonicalGoldenTest) pins recorded values. Each call runs on a flat (CSR)
+// incidence structure and one per-call scratch that every refinement round
+// reuses; no state survives between calls, so both entry points are safe to
+// call concurrently.
 #pragma once
 
 #include <cstdint>

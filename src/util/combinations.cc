@@ -1,6 +1,7 @@
 #include "util/combinations.h"
 
 #include <limits>
+#include <numeric>
 
 namespace htd::util {
 
@@ -12,7 +13,13 @@ int64_t BinomialCapped(int n, int s) {
   s = std::min(s, n - s);
   for (int i = 1; i <= s; ++i) {
     // result * (n - s + i) / i is exact because result is always a binomial.
-    result = result * (n - s + i) / i;
+    // Dividing i out first (i / g divides n - s + i, since result / g and
+    // i / g are coprime) keeps the product at the next binomial's size, and
+    // the cap is checked before multiplying, so nothing ever overflows.
+    const int64_t g = std::gcd(result, static_cast<int64_t>(i));
+    const int64_t factor = (n - s + i) / (i / g);
+    if (result / g > cap / factor) return cap;
+    result = result / g * factor;
     if (result >= cap) return cap;
   }
   return result;

@@ -19,7 +19,8 @@
 namespace htd::util {
 
 /// Number of s-subsets of an n-universe, saturating at int64 max / 4 to keep
-/// arithmetic on chunk sizes overflow-free.
+/// arithmetic on chunk sizes overflow-free. Exact below the cap; the cap is
+/// checked before each multiplication, so no intermediate ever overflows.
 int64_t BinomialCapped(int n, int s);
 
 /// Enumerates all subsets of {0..n-1} with min_size ≤ |S| ≤ max_size in

@@ -166,7 +166,9 @@ class TaskGroup {
   CancelToken* cancel_token() const { return state_->cancel; }
 
   /// Peak number of threads concurrently running tasks anywhere in this
-  /// group's root tree (0 if nothing ever ran).
+  /// group's root tree (0 if nothing ever ran). A waiter draining the bag
+  /// inline counts as one of those threads, so a group waited on from a
+  /// thread outside the executor can peak at num_workers() + 1.
   int peak_width() const;
 
   Executor& executor() const { return *state_->executor; }

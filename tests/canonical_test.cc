@@ -9,8 +9,13 @@
 #include <string>
 #include <vector>
 
+#include "decomp/extended_subhypergraph.h"
+#include "decomp/special_edges.h"
 #include "hypergraph/generators.h"
 #include "hypergraph/hypergraph.h"
+#include "hypergraph/parser.h"
+#include "hypergraph/writer.h"
+#include "util/hash.h"
 #include "util/rng.h"
 
 namespace htd::service {
@@ -165,6 +170,59 @@ TEST(CanonicalTest, HexRendering) {
   Fingerprint fp{0x0123456789abcdefULL, 0xfedcba9876543210ULL};
   EXPECT_EQ(fp.ToHex(), "0123456789abcdeffedcba9876543210");
   EXPECT_EQ(CanonicalFingerprint(MakeCycle(4)).ToHex().size(), 32u);
+}
+
+
+// Golden values. Fingerprints are a persistent format: result-cache
+// snapshots, anti-entropy digests and shard ranges are keyed by them, so a
+// change to the refinement that moves any of these values is a cache-format
+// break, not a refactor. The constants were recorded from the original
+// implementation; a rewrite must reproduce them bit for bit.
+TEST(CanonicalGoldenTest, FingerprintsOfFixedFamilies) {
+  EXPECT_EQ(CanonicalFingerprint(MakeCycle(8)).ToHex(), "e59b37c525b394c4bdb7ff2595fdf21a");
+  EXPECT_EQ(CanonicalFingerprint(MakeGrid(3, 3)).ToHex(), "3893a55d6cac9d09b697156a4a2187c9");
+  EXPECT_EQ(CanonicalFingerprint(MakeClique(5)).ToHex(), "a47c32940c31a29c285ec60e6eec4456");
+}
+
+TEST(CanonicalGoldenTest, DigestOfTheCacheHitCatalogue) {
+  // The first 16 instances of the hdbench warm_hits catalogue, drawn as it
+  // draws them and round-tripped through the HyperBench text the server
+  // parses, so vertex numbering (and hence every tie-break) matches a
+  // server-side fingerprint.
+  util::Rng rng(20220612);
+  uint64_t digest = 0;
+  for (int i = 0; i < 16; ++i) {
+    util::Rng child = rng.Fork();
+    const int atoms = child.UniformInt(8, 40);
+    auto graph = ParseAuto(WriteHyperBench(MakeRandomCq(child, atoms, 4, 0.25)));
+    ASSERT_TRUE(graph.ok());
+    const Fingerprint fp = CanonicalFingerprint(*graph);
+    digest = util::HashCombine(util::HashCombine(digest, fp.hi), fp.lo);
+  }
+  EXPECT_EQ(digest, 0x387b80730edb63dfULL);
+}
+
+TEST(CanonicalGoldenTest, SubhypergraphFingerprintAndPermutation) {
+  // A 3x4 grid restricted to ten of its edges, plus one special edge and a
+  // two-vertex connector: exercises both seed labels and individualisation.
+  Hypergraph grid = MakeGrid(3, 4);
+  SpecialEdgeRegistry registry(grid.num_vertices());
+  const int special = registry.Add(
+      util::DynamicBitset::FromIndices(grid.num_vertices(), {0, 5, 10}), {0, 1});
+  ExtendedSubhypergraph comp;
+  comp.edges = util::DynamicBitset(grid.num_edges());
+  for (int e = 0; e < 10; ++e) comp.edges.Set(e);
+  comp.edge_count = 10;
+  comp.specials = {special};
+  const util::DynamicBitset conn =
+      util::DynamicBitset::FromIndices(grid.num_vertices(), {1, 6});
+
+  SubproblemCanonicalForm form =
+      FingerprintSubhypergraph(grid, registry, comp, conn);
+  EXPECT_EQ(form.fingerprint.ToHex(), "e1a62d218347afdc7979f728a456f514");
+  std::string permutation;
+  for (int v : form.canonical_vertices) permutation += std::to_string(v) + " ";
+  EXPECT_EQ(permutation, "6 7 1 10 5 0 3 4 2 8 ");
 }
 
 }  // namespace

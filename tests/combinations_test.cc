@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <set>
 #include <vector>
 
@@ -20,6 +21,18 @@ TEST(BinomialTest, SmallValues) {
 
 TEST(BinomialTest, SaturatesInsteadOfOverflowing) {
   EXPECT_GT(BinomialCapped(200, 100), 0);
+}
+
+TEST(BinomialTest, ExactUpToTheCap) {
+  // C(64, 32) is the largest central binomial below int64 max / 4, and
+  // C(65, 32) the smallest above it: the last exact value and the first
+  // saturated one.
+  const int64_t cap = std::numeric_limits<int64_t>::max() / 4;
+  EXPECT_EQ(BinomialCapped(62, 31), 465428353255261088LL);
+  EXPECT_EQ(BinomialCapped(64, 32), 1832624140942590534LL);
+  EXPECT_EQ(BinomialCapped(65, 32), cap);
+  EXPECT_EQ(BinomialCapped(200, 100), cap);
+  EXPECT_EQ(BinomialCapped(1 << 30, 3), cap);
 }
 
 TEST(SubsetEnumeratorTest, EnumeratesAllSizes) {

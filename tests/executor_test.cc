@@ -126,7 +126,11 @@ TEST(TaskGroupTest, WaitRunsEverySpawnedTaskAtAnyWorkerCount) {
     group.Wait();
     EXPECT_EQ(ran.load(), 100) << workers << " workers";
     EXPECT_GE(group.peak_width(), 1);
-    EXPECT_LE(group.peak_width(), workers);
+    // peak_width() counts threads running the group's tasks, and Wait()
+    // drains the bag inline on the waiter — here the test's main thread,
+    // which is not one of the workers. So up to every worker plus the
+    // waiter can run a task at once.
+    EXPECT_LE(group.peak_width(), workers + 1);
   }
 }
 

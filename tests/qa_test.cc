@@ -263,6 +263,9 @@ TEST(QueryEngineTest, AnswersWithVerifiedWitnessAndCount) {
   EXPECT_GE(answer->width, 1);
   EXPECT_GE(answer->portfolio_size, 1);
   EXPECT_FALSE(answer->decompose_cache_hit);  // cold service
+  // The answer's fingerprint is the one the service keyed its probes on.
+  EXPECT_EQ(answer->fingerprint,
+            service::CanonicalFingerprint(cq::QueryHypergraph(*query)));
   for (const cq::Atom& atom : query->atoms) {
     const cq::Relation* rel = db.Find(atom.relation);
     ASSERT_NE(rel, nullptr);
@@ -351,6 +354,10 @@ TEST(QueryEngineTest, ExpiredDeadlineIsDeadlineOutcome) {
   auto answer = engine.Answer(*query, SampleDatabase(), /*timeout_seconds=*/1e-12);
   ASSERT_TRUE(answer.ok());
   EXPECT_EQ(answer->outcome, QueryOutcome::kDeadline);
+  // No probe was admitted, yet the reply still carries the query's key.
+  EXPECT_EQ(answer->probes, 0);
+  EXPECT_EQ(answer->fingerprint,
+            service::CanonicalFingerprint(cq::QueryHypergraph(*query)));
 }
 
 // End-to-end property sweep: random queries and databases through the full

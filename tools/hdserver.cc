@@ -60,8 +60,8 @@ void Usage(const char* argv0) {
       "                     (default 2)\n"
       "  --workers N        fleet executor width: workers shared by every\n"
       "                     solve and async query job (default 4)\n"
-      "  --threads N        intra-solve threads per job; 0 = batch-aware auto\n"
-      "                     (default 0)\n"
+      "  --threads N        intra-solve threads per job; 0 = widen over\n"
+      "                     whichever executor workers are free (default 0)\n"
       "  --solver NAME      logk | logk-basic | detk | hybrid | balsep-ghd\n"
       "  --queue-depth N    admission bound: shed with 429 beyond N\n"
       "                     outstanding jobs (default 64)\n"
@@ -186,7 +186,7 @@ int RunRouter(htd::net::HttpServer::Options http,
 int main(int argc, char** argv) {
   htd::net::DecompositionServerOptions options;
   options.http.port = 8080;
-  options.service.solve.num_threads = 0;  // batch-aware auto
+  options.service.solve.num_threads = 0;  // widen over free executor workers
   options.service.default_timeout_seconds = 30.0;
   bool save_on_exit = true;
   double snapshot_interval = 0.0;
